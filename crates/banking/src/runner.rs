@@ -87,32 +87,12 @@ pub struct CohortOptions {
     /// Skip the parser kernel and load pre-parsed structs directly
     /// (used when measuring process stages in isolation).
     pub skip_parser: bool,
-    /// Warp-execution worker threads for this cohort's kernel launches:
-    /// `None` keeps the [`Gpu`]'s configured count; `Some(n)` overrides it
-    /// (`0` = one per available core, `1` = serial). Responses and stats
-    /// are bit-identical at any worker count.
-    pub workers: Option<u32>,
     /// Run every kernel through the `rhythm-verify` static analyzer
     /// before launch (default **on**): programs with `Error`-severity
     /// findings are rejected with [`ExecError::Rejected`] instead of
     /// executing. Verdicts are cached per (kernel, launch shape), so the
     /// steady-state cost is one hash lookup per launch.
     pub verify: bool,
-    /// Serve kernel launches from the process-wide decode-plan cache
-    /// (default **on**): each kernel is flattened into its pre-decoded
-    /// `ExecPlan` once per process and every later cohort launch skips
-    /// decode and CFG analysis. Turn off only to measure decode cost;
-    /// results are bit-identical either way.
-    pub plan_cache: bool,
-    /// Pack sub-warp request groups (default **on**): each kernel launch
-    /// asks the `rhythm-verify` analyzer for the widest legal packing
-    /// width (4 for race-free atomics-free kernels, else 1) and sets
-    /// [`LaunchConfig::pack`] accordingly, so convergent cohorts execute
-    /// up to four warps in fused lockstep. Legality verdicts are memoized
-    /// per (kernel, launch shape). Responses and stats are bit-identical
-    /// either way; this, like `workers`, only changes host simulation
-    /// throughput.
-    pub pack: bool,
     /// Run every kernel launch under the footprint sanitizer (default
     /// **off**): each launch carries the effect-summary engine's claimed
     /// static footprint for its (kernel, launch environment) pair, and the
@@ -133,10 +113,7 @@ impl Default for CohortOptions {
             session_capacity: 4096,
             session_salt: 0x5EED_0001,
             skip_parser: false,
-            workers: None,
             verify: true,
-            plan_cache: true,
-            pack: true,
             sanitize: false,
         }
     }
@@ -144,10 +121,10 @@ impl Default for CohortOptions {
 
 /// The launch config for one kernel of a cohort: `base` with the packing
 /// width the analyzer endorses for this (kernel, launch environment)
-/// pair — 4 for race-free atomics-free kernels, 1 otherwise or when
-/// packing is disabled. The device and the executor's static plan profile
-/// clamp further; widening never changes results, so this is purely a
-/// host-throughput decision.
+/// pair — 4 for race-free atomics-free kernels, 1 otherwise. Verdicts are
+/// memoized per (kernel, launch shape), and the executor's static plan
+/// profile clamps further; widening never changes results, so this is
+/// purely a host-throughput decision.
 ///
 /// With [`CohortOptions::sanitize`] on, the config also carries the
 /// kernel's inferred global footprint (anchored to the cohort layout's
@@ -162,14 +139,10 @@ fn kernel_cfg(
     pool: &rhythm_simt::mem::ConstPool,
 ) -> LaunchConfig {
     let mut cfg = base.clone();
-    let spec = (opts.pack || opts.sanitize).then(|| LaunchSpec::from_launch(&cfg, mem, pool));
-    cfg.pack = match &spec {
-        Some(spec) if opts.pack => pack_width_cached(program, spec),
-        _ => 1,
-    };
+    let spec = LaunchSpec::from_launch(&cfg, mem, pool);
+    cfg.pack = pack_width_cached(program, &spec);
     if opts.sanitize {
-        let spec = spec.as_ref().expect("spec built when sanitize is on");
-        let cached = shared_verifier().effects(program, spec, &layout.regions());
+        let cached = shared_verifier().effects(program, &spec, &layout.regions());
         cfg.sanitize = Some(Arc::clone(&cached.footprint));
     }
     cfg
@@ -182,29 +155,13 @@ fn shared_verifier() -> Arc<Verifier> {
     VERIFIER.get_or_init(|| Arc::new(Verifier::new())).clone()
 }
 
-/// Apply [`CohortOptions::workers`], [`CohortOptions::verify`], and
-/// [`CohortOptions::plan_cache`] to a device handle, returning the device
-/// to launch on.
+/// Apply [`CohortOptions::verify`] to a device handle, returning the
+/// device to launch on.
 fn effective_gpu<'a>(gpu: &'a Gpu, opts: &CohortOptions, slot: &'a mut Option<Gpu>) -> &'a Gpu {
-    let needs_gate = opts.verify && gpu.gate().is_none();
-    if opts.workers.is_none() && !needs_gate && gpu.plan_cache() == opts.plan_cache {
+    if !opts.verify || gpu.gate().is_some() {
         return gpu;
     }
-    let mut g = match opts.workers {
-        None => gpu.clone(),
-        Some(w) => {
-            let mut fresh = Gpu::new(gpu.config().clone().with_workers(w));
-            if let Some(gate) = gpu.gate() {
-                fresh = fresh.with_gate(gate.clone());
-            }
-            fresh
-        }
-    };
-    if needs_gate {
-        g = g.with_gate(shared_verifier());
-    }
-    g = g.with_plan_cache(opts.plan_cache);
-    slot.insert(g)
+    slot.insert(gpu.clone().with_gate(shared_verifier()))
 }
 
 /// Run one uniform-type cohort through parse → process stages → response.
@@ -572,14 +529,14 @@ pub fn run_cohorts_hyperq(
     let shapes: Vec<(RequestType, usize)> = cohorts.iter().map(|c| (c[0].ty, c.len())).collect();
     let groups = plan_stream_groups(workload, store_img.len() as u32, &shapes, opts);
 
-    let mut gpu_slot = None;
     // Stream-level concurrency already fans out; warp workers would
     // oversubscribe, and `execute_streams` sets the same precedent.
-    let stream_opts = CohortOptions {
-        workers: Some(1),
-        ..opts.clone()
-    };
-    let streams_gpu = effective_gpu(gpu, &stream_opts, &mut gpu_slot);
+    let mut serial_warps = Gpu::new(gpu.config().clone().with_workers(1));
+    if let Some(gate) = gpu.gate() {
+        serial_warps = serial_warps.with_gate(Arc::clone(gate));
+    }
+    let mut gpu_slot = None;
+    let streams_gpu = effective_gpu(&serial_warps, opts, &mut gpu_slot);
 
     let mut out: Vec<Option<Result<CohortResult, ExecError>>> =
         cohorts.iter().map(|_| None).collect();

@@ -277,10 +277,9 @@ impl CohortHandler for ScalarHandler {
 /// parse → process → response kernels via [`run_cohort`] — the paper's
 /// end-to-end GPU pipeline behind a real socket front end.
 ///
-/// Executor knobs ride on [`CohortOptions`]: with the default options
-/// each kernel launch gets the sub-warp packing width the verifier
-/// endorses for it (see `CohortOptions::pack`), which changes host
-/// simulation throughput and nothing else.
+/// Each kernel launch runs at the sub-warp packing width the verifier
+/// endorses for it; a served cohort fits one warp, so it runs as a gang
+/// of one. Packing changes host simulation throughput and nothing else.
 #[derive(Debug)]
 pub struct SimtHandler {
     workload: Workload,

@@ -25,10 +25,7 @@ fn opts(transposed: bool) -> CohortOptions {
         session_capacity: 1024,
         session_salt: SALT,
         skip_parser: false,
-        workers: None,
         verify: true,
-        plan_cache: true,
-        pack: true,
         sanitize: false,
     }
 }
@@ -244,47 +241,6 @@ fn logout_cohort_destroys_sessions_on_device() {
     let mut s = sessions.clone();
     run_cohort(&workload, &store, &mut s, &cohort, &gpu, &opts(true)).unwrap();
     assert_eq!(s.len(), 0, "all sessions destroyed");
-}
-
-#[test]
-fn packed_cohorts_are_bit_identical_to_unpacked() {
-    // Sub-warp packing is selected per kernel by the verifier's legality
-    // analysis and fuses up to four warps; it must never change a byte of
-    // any response, the session evolution, or a single stats counter on
-    // any launch, for any request type.
-    let (workload, store, gpu) = harness();
-    for ty in RequestType::ALL {
-        let mut sessions = SessionArrayHost::new(1024, SALT);
-        let mut generator = RequestGenerator::new(128, 100 + ty.id() as u64);
-        let cohort = generator.uniform(ty, 96, &mut sessions);
-
-        let mut s_off = sessions.clone();
-        let mut o = opts(true);
-        o.pack = false;
-        let unpacked = run_cohort(&workload, &store, &mut s_off, &cohort, &gpu, &o).unwrap();
-
-        let mut s_on = sessions.clone();
-        let packed = run_cohort(&workload, &store, &mut s_on, &cohort, &gpu, &opts(true)).unwrap();
-
-        assert_eq!(
-            packed.responses, unpacked.responses,
-            "{ty}: packing changed response bytes"
-        );
-        assert_eq!(
-            s_on.to_device_bytes(),
-            s_off.to_device_bytes(),
-            "{ty}: packing changed session state"
-        );
-        assert_eq!(
-            packed.launches.len(),
-            unpacked.launches.len(),
-            "{ty}: launch count"
-        );
-        for ((n_p, l_p), (n_u, l_u)) in packed.launches.iter().zip(&unpacked.launches) {
-            assert_eq!(n_p, n_u, "{ty}: launch order");
-            assert_eq!(l_p.stats, l_u.stats, "{ty}/{n_p}: packing changed stats");
-        }
-    }
 }
 
 #[test]

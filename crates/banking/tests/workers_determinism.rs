@@ -8,6 +8,12 @@ use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const SALT: u32 = 0x5EED_0001;
 
+/// The device for a worker-count case: `Some(n)` sets the warp worker
+/// count (`0` = one per available core), `None` keeps the serial device.
+fn gpu_config(workers: Option<u32>) -> GpuConfig {
+    GpuConfig::gtx_titan().with_workers(workers.unwrap_or(1))
+}
+
 fn run_with(workers: Option<u32>) -> (Vec<Vec<u8>>, String, Vec<u8>) {
     run_traced_with(workers, &rhythm_obs::NoopRecorder)
 }
@@ -21,13 +27,12 @@ fn run_traced_with<R: Recorder + ?Sized>(
     let opts = CohortOptions {
         session_capacity: 1024,
         session_salt: SALT,
-        workers,
         ..Default::default()
     };
     let mut sessions = SessionArrayHost::new(1024, SALT);
     let mut generator = RequestGenerator::new(64, 2);
     let reqs = generator.uniform(RequestType::AccountSummary, 96, &mut sessions);
-    let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
+    let gpu = Gpu::new(gpu_config(workers));
     let result =
         run_cohort_traced(&workload, &store, &mut sessions, &reqs, &gpu, &opts, rec).unwrap();
     (
@@ -84,13 +89,12 @@ fn parser_only_identical_across_worker_counts() {
         let opts = CohortOptions {
             session_capacity: 1024,
             session_salt: SALT,
-            workers,
             ..Default::default()
         };
         let mut sessions = SessionArrayHost::new(1024, SALT);
         let mut generator = RequestGenerator::new(64, 5);
         let reqs = generator.mixed(128, &mut sessions);
-        let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
+        let gpu = Gpu::new(gpu_config(workers));
         let (res, parsed) = run_parser_only(&workload, &reqs, &gpu, &opts).unwrap();
         (format!("{res:?}"), parsed)
     };

@@ -19,11 +19,13 @@
 //!   [`server::CohortHandler`] as a single batch (so device handlers can
 //!   run them as concurrent streams), and responses are transposed back
 //!   onto the originating connections in request order.
-//! * [`server::NetServer`] runs one reactor behind one listener;
-//!   [`shard::ShardedServer`] runs N reactor threads behind a dedicated
-//!   acceptor with round-robin connection handoff — each shard owns its
+//! * [`shard::ShardedServer`] is the one server type: N reactor threads
+//!   (one for the single-reactor front end) behind a dedicated acceptor
+//!   with round-robin connection handoff — each shard owns its
 //!   connections, cohort pool, stats, and handler (device), and
-//!   connection pinning doubles as session-affinity routing.
+//!   connection pinning doubles as session-affinity routing. A shard whose
+//!   handler panics stops the server and the panic surfaces from
+//!   [`shard::ShardedServer::run`].
 //! * Robustness under load: a connection cap (excess connections are shed
 //!   with `503` + `Retry-After`), pool-exhaustion shedding (`503`),
 //!   request size caps (`413`), malformed-input rejection (`400`), and a
@@ -65,5 +67,5 @@ pub use client::{read_response, scan_response, send_request, RawResponse};
 pub use conn::RequestAccumulator;
 pub use controller::{decide, Controller, ControllerConfig, Decision};
 pub use metrics::{LaunchView, LiveSnapshot, ShardMetrics, StatsCell, Telemetry};
-pub use server::{CohortHandler, NetConfig, NetServer, NetStats, Reactor};
+pub use server::{CohortHandler, NetConfig, NetStats, Reactor};
 pub use shard::{ShardedRun, ShardedServer};

@@ -4,14 +4,13 @@
 //!
 //! The connection/cohort state machine lives in [`Reactor`], which owns
 //! admitted connections but no listener: streams are handed to it via
-//! [`Reactor::admit`]. [`NetServer`] is the single-reactor server (one
-//! listener feeding one reactor); [`crate::shard::ShardedServer`] runs N
-//! reactors behind one acceptor for the multi-reactor front end.
+//! [`Reactor::admit`]. [`crate::shard::ShardedServer`] runs one reactor
+//! per shard behind one acceptor; a one-shard server is the single-reactor
+//! front end.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -356,8 +355,7 @@ struct Pending {
 /// connections, per-type cohort contexts, and the run's counters.
 ///
 /// A reactor owns no listener — streams are pushed in through
-/// [`Reactor::admit`] (by [`NetServer`]'s accept loop or by the sharded
-/// acceptor). Each [`Reactor::poll_traced`] reads every readable socket,
+/// [`Reactor::admit`] by the [`crate::shard::ShardedServer`] acceptor. Each [`Reactor::poll_traced`] reads every readable socket,
 /// parses complete requests, dispatches them into cohort contexts, marks
 /// full or timed-out cohorts, launches the marked batch through the
 /// [`CohortHandler`] (one `execute_many` call, so device handlers can
@@ -371,9 +369,8 @@ pub struct Reactor<H> {
     next_conn_id: u64,
     stats: NetStats,
     epoch: Instant,
-    /// Shard index for obs track names; `None` keeps the single-reactor
-    /// names (`net`, `net:device`, `net:ctx<N>`).
-    shard: Option<usize>,
+    /// Shard index; obs tracks are named `net:s<shard>...`.
+    shard: usize,
     /// Contexts marked launchable this poll: `(context, by_timeout)`.
     launchable: Vec<(ContextId, bool)>,
     /// The cross-shard telemetry plane this reactor publishes into (a
@@ -423,14 +420,14 @@ impl FlightNames {
 }
 
 impl<H: CohortHandler> Reactor<H> {
-    /// A reactor over `handler`. `shard` selects the obs track namespace:
-    /// `Some(i)` prefixes tracks with `s<i>:` so per-shard timelines stay
+    /// A reactor over `handler` serving shard `shard`. Its obs tracks are
+    /// prefixed `net:s<shard>` so per-shard timelines stay
     /// distinguishable in one trace.
     ///
     /// # Panics
     ///
     /// Panics on a zero cohort size, context count, or connection cap.
-    pub fn new(config: NetConfig, handler: H, shard: Option<usize>) -> Self {
+    pub fn new(config: NetConfig, handler: H, shard: usize) -> Self {
         assert!(config.cohort_size > 0, "cohort size must be nonzero");
         assert!(config.pool_contexts > 0, "need at least one context");
         assert!(config.max_connections > 0, "need at least one connection");
@@ -512,24 +509,15 @@ impl<H: CohortHandler> Reactor<H> {
     }
 
     fn net_track(&self) -> String {
-        match self.shard {
-            None => "net".to_string(),
-            Some(s) => format!("net:s{s}"),
-        }
+        format!("net:s{}", self.shard)
     }
 
     fn device_track(&self) -> String {
-        match self.shard {
-            None => "net:device".to_string(),
-            Some(s) => format!("net:s{s}:device"),
-        }
+        format!("net:s{}:device", self.shard)
     }
 
     fn ctx_track(&self, id: ContextId) -> String {
-        match self.shard {
-            None => format!("net:ctx{id}"),
-            Some(s) => format!("net:s{s}:ctx{id}"),
-        }
+        format!("net:s{}:ctx{id}", self.shard)
     }
 
     /// Take ownership of an accepted stream: admit it (non-blocking, slot
@@ -1091,136 +1079,5 @@ impl<H: CohortHandler> Reactor<H> {
             }
             true
         });
-    }
-}
-
-/// The single-reactor non-blocking cohort front end: one listener feeding
-/// one [`Reactor`] on the calling thread, mirroring the paper's
-/// event-loop server. For the sharded multi-reactor server, see
-/// [`crate::shard::ShardedServer`].
-#[derive(Debug)]
-pub struct NetServer<H> {
-    listener: TcpListener,
-    reactor: Reactor<H>,
-}
-
-impl<H: CohortHandler> NetServer<H> {
-    /// Bind a listener and prepare the cohort pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors from bind/configure.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero cohort size, context count, or connection cap.
-    pub fn bind<A: ToSocketAddrs>(addr: A, config: NetConfig, handler: H) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(NetServer {
-            listener,
-            reactor: Reactor::new(config, handler, None),
-        })
-    }
-
-    /// Publish into a caller-created single-shard telemetry plane instead
-    /// of the internal default — lets the caller build device handlers
-    /// against [`Telemetry::device`] before binding, and scrape the plane
-    /// from outside while the server runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the plane has exactly one shard.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
-        assert_eq!(telemetry.shards(), 1, "single-reactor server, one shard");
-        self.reactor.attach_telemetry(telemetry, 0);
-        self
-    }
-
-    /// The telemetry plane this server publishes into.
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        self.reactor.telemetry()
-    }
-
-    /// The bound address (use with an ephemeral port).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket error.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> &NetStats {
-        self.reactor.stats()
-    }
-
-    /// Borrow the workload handler.
-    pub fn handler(&self) -> &H {
-        self.reactor.handler()
-    }
-
-    /// Serve until `stop` is raised, then drain and return the run's
-    /// counters along with the handler.
-    pub fn run(self, stop: &AtomicBool) -> (NetStats, H) {
-        self.run_traced(stop, &NoopRecorder)
-    }
-
-    /// [`NetServer::run`] with `rhythm-obs` instrumentation: wall-clock
-    /// cohort execute spans on the `net:device` track, FSM transition
-    /// instants on `net:ctx<N>` tracks, `cohort_fill` and
-    /// `net_request_latency_s` histograms, and shed counters on the
-    /// `net` track. The recorder is observational only.
-    pub fn run_traced<R: Recorder + ?Sized>(mut self, stop: &AtomicBool, rec: &R) -> (NetStats, H) {
-        let mut idle = self.reactor.config.idle_sleep;
-        while !stop.load(Ordering::Relaxed) {
-            if self.poll_traced(rec) {
-                idle = self.reactor.config.idle_sleep;
-            } else {
-                self.reactor.note_idle();
-                // Clamp the backoff to the earliest pending cohort fill
-                // deadline: a grown idle sleep must not overshoot it and
-                // add up to idle_sleep_max of queue latency.
-                let sleep = match self.reactor.next_fill_deadline() {
-                    Some(d) => idle.min(d),
-                    None => idle,
-                };
-                if !sleep.is_zero() {
-                    std::thread::sleep(sleep);
-                }
-                idle = (idle * 2).min(self.reactor.config.idle_sleep_max);
-            }
-        }
-        self.reactor.drain(rec);
-        self.reactor.into_parts()
-    }
-
-    /// One non-blocking service iteration; returns whether anything
-    /// progressed (callers may back off briefly when it did not).
-    pub fn poll(&mut self) -> bool {
-        self.poll_traced(&NoopRecorder)
-    }
-
-    /// [`NetServer::poll`] with a recorder attached.
-    pub fn poll_traced<R: Recorder + ?Sized>(&mut self, rec: &R) -> bool {
-        let progress = self.accept_new();
-        self.reactor.poll_traced(rec) || progress
-    }
-
-    fn accept_new(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    progress = true;
-                    self.reactor.admit(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        progress
     }
 }

@@ -20,7 +20,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 
 use rhythm_obs::{NoopRecorder, Recorder};
@@ -132,13 +132,25 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
 
     /// Serve until `stop` is raised, then drain every shard and return
     /// the per-shard counters and handlers.
+    ///
+    /// # Panics
+    ///
+    /// If a shard's handler panics, the acceptor stops accepting, the
+    /// remaining shards drain, and the first shard's panic is re-raised
+    /// here — without waiting for `stop`.
     pub fn run(self, stop: &AtomicBool) -> ShardedRun<H> {
         self.run_traced(stop, &NoopRecorder)
     }
 
-    /// [`ShardedServer::run`] with a recorder attached. Shard `i`'s
-    /// events land on `net:s<i>`-prefixed tracks, so per-shard timelines
-    /// stay distinguishable in one trace.
+    /// [`ShardedServer::run`] with a recorder attached: wall-clock cohort
+    /// execute spans on `net:s<i>:device` tracks, FSM transition instants
+    /// on `net:s<i>:ctx<N>` tracks, `cohort_fill` and
+    /// `net_request_latency_s` histograms, and shed counters on `net:s<i>`
+    /// tracks, where `i` is the shard. The recorder is observational only.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a shard's panic, as [`ShardedServer::run`] does.
     pub fn run_traced<R: Recorder + Sync + ?Sized>(
         self,
         stop: &AtomicBool,
@@ -159,28 +171,34 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
             receivers.push(rx);
         }
 
-        let mut results: Vec<Option<(NetStats, H)>> = std::thread::scope(|scope| {
+        let results: Vec<std::thread::Result<(NetStats, H)>> = std::thread::scope(|scope| {
             let mut joins = Vec::with_capacity(shards);
             for (shard, (handler, rx)) in handlers.into_iter().zip(receivers).enumerate() {
-                let mut reactor = Reactor::new(config.clone(), handler, Some(shard));
+                let mut reactor = Reactor::new(config.clone(), handler, shard);
                 reactor.attach_telemetry(&telemetry, shard);
                 joins.push(scope.spawn(move || reactor_loop(reactor, rx, stop, rec)));
             }
 
             // The calling thread is the acceptor: round-robin accepted
             // streams over the shard channels. Admission control (the
-            // connection cap, 503 shed) happens in the owning reactor.
+            // connection cap, 503 shed) happens in the owning reactor. A
+            // shard only exits early by panicking; then the acceptor stops
+            // so `run` can re-raise the panic instead of resetting that
+            // shard's connections until `stop`.
             let mut next = 0usize;
             let mut idle = config.idle_sleep;
-            while !stop.load(Ordering::Relaxed) {
+            'accept: while !stop.load(Ordering::Relaxed) {
+                if joins.iter().any(|j| j.is_finished()) {
+                    break;
+                }
                 let mut progress = false;
                 loop {
                     match listener.accept() {
                         Ok((stream, _)) => {
                             progress = true;
-                            // A send only fails if the reactor died; the
-                            // stream drops (peer sees a reset).
-                            let _ = senders[next].send(stream);
+                            if senders[next].send(stream).is_err() {
+                                break 'accept;
+                            }
                             next = (next + 1) % shards;
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -194,22 +212,26 @@ impl<H: CohortHandler + Send> ShardedServer<H> {
                     idle = (idle * 2).min(config.idle_sleep_max);
                 }
             }
+            // Closing the channels stops every shard that is still alive.
             drop(senders);
 
-            joins.into_iter().map(|j| j.join().ok()).collect()
+            joins.into_iter().map(|j| j.join()).collect()
         });
 
-        ShardedRun {
-            shards: results
-                .drain(..)
-                .map(|r| r.expect("shard thread"))
-                .collect(),
+        let mut out = Vec::with_capacity(shards);
+        for r in results {
+            match r {
+                Ok(shard) => out.push(shard),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
+        ShardedRun { shards: out }
     }
 }
 
 /// One shard's service loop: drain the handoff channel into the reactor,
-/// poll, and back off exponentially while idle.
+/// poll, and back off exponentially while idle, until `stop` is raised or
+/// the acceptor closes the channel.
 fn reactor_loop<H: CohortHandler, R: Recorder + ?Sized>(
     mut reactor: Reactor<H>,
     rx: Receiver<TcpStream>,
@@ -219,11 +241,21 @@ fn reactor_loop<H: CohortHandler, R: Recorder + ?Sized>(
     let idle_start = reactor.config().idle_sleep;
     let idle_max = reactor.config().idle_sleep_max;
     let mut idle = idle_start;
-    while !stop.load(Ordering::Relaxed) {
+    let mut open = true;
+    while open && !stop.load(Ordering::Relaxed) {
         let mut progress = false;
-        while let Ok(stream) = rx.try_recv() {
-            reactor.admit(stream);
-            progress = true;
+        loop {
+            match rx.try_recv() {
+                Ok(stream) => {
+                    reactor.admit(stream);
+                    progress = true;
+                }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    open = false;
+                    break;
+                }
+            }
         }
         progress |= reactor.poll_traced(rec);
         if progress {
@@ -231,13 +263,22 @@ fn reactor_loop<H: CohortHandler, R: Recorder + ?Sized>(
         } else {
             reactor.note_idle();
             // Clamp the backoff to the earliest pending cohort fill
-            // deadline (see `NetServer::run_traced`).
+            // deadline: a grown idle sleep must not overshoot it and add
+            // up to idle_sleep_max of queue latency.
             let sleep = match reactor.next_fill_deadline() {
                 Some(d) => idle.min(d),
                 None => idle,
             };
-            if !sleep.is_zero() {
-                std::thread::sleep(sleep);
+            // Wait on the handoff channel rather than sleeping blind, so a
+            // new connection wakes an idle shard at once.
+            match rx.recv_timeout(sleep) {
+                Ok(stream) => {
+                    reactor.admit(stream);
+                    idle = idle_start;
+                    continue;
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => open = false,
             }
             idle = (idle * 2).min(idle_max);
         }

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use rhythm_http::{HttpRequest, ResponseBuilder};
 use rhythm_net::{
-    read_response, send_request, CohortHandler, NetConfig, NetServer, ShardedRun, ShardedServer,
+    read_response, send_request, CohortHandler, NetConfig, ShardedRun, ShardedServer,
 };
 
 /// Echoes the request path; classifies every path by its first character.
@@ -138,12 +138,12 @@ fn accounting_invariant_holds_on_every_concurrent_scrape() {
 /// valid documents, and are counted apart from workload requests.
 #[test]
 fn admin_endpoints_serve_valid_documents_in_band() {
-    let server = NetServer::bind("127.0.0.1:0", config(), EchoHandler).expect("bind");
+    let server = ShardedServer::bind("127.0.0.1:0", config(), vec![EchoHandler]).expect("bind");
     let telemetry = Arc::clone(server.telemetry());
     let addr = server.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || server.run(&flag));
+    let join = std::thread::spawn(move || server.run(&flag).shards.remove(0));
 
     let mut conn = connect(addr);
     let mut carry = Vec::new();
@@ -207,12 +207,12 @@ fn telemetry_off_disables_admin_and_publication() {
         telemetry: false,
         ..config()
     };
-    let server = NetServer::bind("127.0.0.1:0", config, EchoHandler).expect("bind");
+    let server = ShardedServer::bind("127.0.0.1:0", config, vec![EchoHandler]).expect("bind");
     let telemetry = Arc::clone(server.telemetry());
     let addr = server.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || server.run(&flag));
+    let join = std::thread::spawn(move || server.run(&flag).shards.remove(0));
 
     let mut conn = connect(addr);
     let mut carry = Vec::new();

@@ -1,7 +1,7 @@
-//! End-to-end socket tests for `NetServer` with a workload-agnostic echo
-//! handler: cohort batching, pipelining, formation timeouts, overload
-//! shedding (503), size caps (413), malformed input (400), and idle
-//! reaping — all over real TCP connections.
+//! End-to-end socket tests for a one-shard `ShardedServer` with a
+//! workload-agnostic echo handler: cohort batching, pipelining, formation
+//! timeouts, overload shedding (503), size caps (413), malformed input
+//! (400), and idle reaping — all over real TCP connections.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rhythm_http::{HttpRequest, ResponseBuilder};
-use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, NetServer, NetStats};
+use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, NetStats, ShardedServer};
 
 /// Echoes each request's path back, recording every cohort's size.
 struct EchoHandler {
@@ -51,18 +51,18 @@ struct Server {
 
 impl Server {
     fn start(config: NetConfig) -> Self {
-        let server = NetServer::bind(
+        let server = ShardedServer::bind(
             "127.0.0.1:0",
             config,
-            EchoHandler {
+            vec![EchoHandler {
                 cohort_sizes: Vec::new(),
-            },
+            }],
         )
         .expect("bind");
         let addr = server.local_addr().expect("addr");
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let join = std::thread::spawn(move || server.run(&flag));
+        let join = std::thread::spawn(move || server.run(&flag).shards.remove(0));
         Server {
             addr,
             stop,
@@ -350,12 +350,12 @@ fn idle_backoff_clamps_to_fill_deadline() {
         idle_sleep_max: Duration::from_millis(120),
         ..NetConfig::default()
     };
-    let server = NetServer::bind(
+    let server = ShardedServer::bind(
         "127.0.0.1:0",
         config,
-        EchoHandler {
+        vec![EchoHandler {
             cohort_sizes: Vec::new(),
-        },
+        }],
     )
     .expect("bind");
     let addr = server.local_addr().expect("addr");
@@ -368,7 +368,7 @@ fn idle_backoff_clamps_to_fill_deadline() {
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
     let start = std::time::Instant::now();
-    let join = std::thread::spawn(move || server.run(&flag));
+    let join = std::thread::spawn(move || server.run(&flag).shards.remove(0));
 
     let mut carry = Vec::new();
     let resp = read_response(&mut conn, &mut carry).expect("response");

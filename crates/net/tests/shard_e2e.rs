@@ -12,8 +12,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rhythm_http::{HttpRequest, ResponseBuilder};
 use rhythm_net::{
-    read_response, send_request, CohortHandler, NetConfig, NetServer, NetStats, ShardedRun,
-    ShardedServer,
+    read_response, send_request, CohortHandler, NetConfig, NetStats, ShardedRun, ShardedServer,
 };
 
 /// Echo handler whose batched entry point retires the cohorts of each
@@ -228,15 +227,15 @@ proptest! {
 /// with the 200 µs → 5 ms doubling backoff it is ~35.
 #[test]
 fn idle_backoff_bounds_idle_polls() {
-    let server = NetServer::bind(
+    let server = ShardedServer::bind(
         "127.0.0.1:0",
         NetConfig::default(),
-        ReverseEchoHandler::new(),
+        vec![ReverseEchoHandler::new()],
     )
     .expect("bind");
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || server.run(&flag));
+    let join = std::thread::spawn(move || server.run(&flag).shards.remove(0));
     std::thread::sleep(Duration::from_millis(150));
     stop.store(true, Ordering::Relaxed);
     let (stats, _): (NetStats, _) = join.join().expect("server thread");
@@ -288,7 +287,7 @@ impl CohortHandler for BulkHandler {
 fn write_backpressure_pauses_reads_and_stays_bounded() {
     const REQUESTS: usize = 48;
     const RESPONSE_BYTES: u64 = 256 * 1024;
-    let server = NetServer::bind(
+    let server = ShardedServer::bind(
         "127.0.0.1:0",
         NetConfig {
             cohort_size: 4,
@@ -297,13 +296,13 @@ fn write_backpressure_pauses_reads_and_stays_bounded() {
             max_parse_per_poll: 8,
             ..NetConfig::default()
         },
-        BulkHandler,
+        vec![BulkHandler],
     )
     .expect("bind");
     let addr = server.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || server.run(&flag));
+    let join = std::thread::spawn(move || server.run(&flag).shards.remove(0));
 
     let mut conn = connect(addr);
     // Trickle the pipeline in small waves without reading: after the
@@ -366,7 +365,7 @@ fn write_backpressure_pauses_reads_and_stays_bounded() {
 /// reader, and the server keeps serving other connections.
 #[test]
 fn stalled_reader_is_reaped_and_server_stays_healthy() {
-    let server = NetServer::bind(
+    let server = ShardedServer::bind(
         "127.0.0.1:0",
         NetConfig {
             cohort_size: 4,
@@ -375,13 +374,13 @@ fn stalled_reader_is_reaped_and_server_stays_healthy() {
             read_deadline: Duration::from_millis(150),
             ..NetConfig::default()
         },
-        BulkHandler,
+        vec![BulkHandler],
     )
     .expect("bind");
     let addr = server.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || server.run(&flag));
+    let join = std::thread::spawn(move || server.run(&flag).shards.remove(0));
 
     // ~12 MiB of responses against a reader that never reads: far more
     // than loopback socket buffers absorb, so the write side stalls.
@@ -417,4 +416,62 @@ fn stalled_reader_is_reaped_and_server_stays_healthy() {
         stats.reads_paused > 0,
         "backpressure must have paused reads before the reap"
     );
+}
+
+/// Echo handler that panics when a cohort carries the `/boom` marker.
+struct PanicOnMarker;
+
+impl CohortHandler for PanicOnMarker {
+    fn classify(&self, _req: &HttpRequest) -> Option<u32> {
+        Some(0)
+    }
+
+    fn execute(&mut self, _key: u32, requests: &[HttpRequest]) -> Vec<Vec<u8>> {
+        if requests.iter().any(|r| r.path == "/boom") {
+            panic!("marker request reached the handler");
+        }
+        requests.iter().map(|r| echo_response(&r.path)).collect()
+    }
+}
+
+/// A shard whose handler panics must take the server down with that
+/// panic: the acceptor stops handing it connections and `run` re-raises
+/// the shard's panic promptly, without waiting for `stop`.
+#[test]
+fn shard_panic_ends_run_with_that_panic() {
+    let server = ShardedServer::bind(
+        "127.0.0.1:0",
+        NetConfig {
+            cohort_size: 1,
+            ..NetConfig::default()
+        },
+        vec![PanicOnMarker],
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let stop = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&stop);
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || server.run(&flag)));
+        let _ = done_tx.send(outcome.map(|_| ()));
+    });
+
+    let mut conn = connect(addr);
+    let mut carry = Vec::new();
+    send_request(&mut conn, &get("/fine")).unwrap();
+    assert_eq!(read_response(&mut conn, &mut carry).unwrap().status, 200);
+    send_request(&mut conn, &get("/boom")).unwrap();
+
+    let outcome = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run must end on a shard panic without `stop` being raised");
+    let payload = outcome.expect_err("run must re-raise the shard's panic");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"marker request reached the handler"),
+        "run must re-raise the handler's own panic"
+    );
+    assert!(!stop.load(Ordering::Relaxed), "stop was never raised");
 }

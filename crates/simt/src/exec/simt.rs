@@ -21,13 +21,18 @@
 //!   convergent full-mask fast paths that process a register's 32
 //!   contiguous lanes in straight auto-vectorizable loops, and per-warp
 //!   buffers leased from a process-wide [`warp arena`](warp_arena_stats)
-//!   so steady-state launches allocate nothing;
+//!   so steady-state launches allocate nothing. Its one scheduling unit
+//!   is a gang of k ∈ {1, 2, 4} warps run in fused lockstep while their
+//!   control flow agrees (k = [`LaunchConfig::pack`] clamped by
+//!   [`ExecPlan::pack_max`]); an unpacked or single-warp launch runs gangs
+//!   of one;
 //! * the **legacy engine** ([`execute_simt_legacy_workers`]) walks the
 //!   boxed IR directly, lane-major and fully masked — retained as the
 //!   differential-testing oracle and the `bench_kernels` baseline.
 //!
 //! Both engines produce bit-identical memory, stats, and errors at every
-//! worker count. Warps between barriers are independent, so
+//! worker count and gang width, and share one scheduler. Warps between
+//! barriers are independent, so
 //! [`execute_simt_workers`] can execute them concurrently on a host worker
 //! pool while keeping results bit-for-bit identical to the serial
 //! [`execute_simt`] path.
@@ -144,42 +149,28 @@ pub fn execute_simt_workers(
     pool: &ConstPool,
     workers: usize,
 ) -> Result<KernelStats, ExecError> {
-    execute_simt_workers_traced(program, cfg, mem, pool, workers, &NoopRecorder)
+    execute_plan_workers_traced(&plan_for(program), cfg, mem, pool, workers, &NoopRecorder)
 }
 
-/// [`execute_simt_workers`] with per-warp tracing: each warp's execution
-/// becomes a wall-time span on its worker's track (`simt:w0`, `simt:w1`,
-/// ...) named `"<kernel> warp <w>"`, carrying instruction, divergence,
-/// and cycle counters as span args, plus `warp_cycles` and `warp_exec_ns`
-/// streaming histogram samples.
+/// Execute a pre-decoded [`ExecPlan`] (the engine behind every default
+/// launch path), with per-warp tracing: each warp's execution becomes a
+/// wall-time span on its worker's track (`simt:w0`, `simt:w1`, ...) named
+/// `"<kernel> warp <w>"`, carrying instruction, divergence, and cycle
+/// counters as span args, plus `warp_cycles` and `warp_exec_ns` streaming
+/// histogram samples.
 ///
-/// Tracing never touches execution state, so results are bit-identical to
-/// the untraced path at every worker count — only which worker track a
-/// warp's span lands on varies from run to run.
-///
-/// # Errors
-///
-/// Same failures as [`execute_simt_workers`].
-pub fn execute_simt_workers_traced<R: Recorder + ?Sized>(
-    program: &Program,
-    cfg: &LaunchConfig,
-    mem: &mut DeviceMemory,
-    pool: &ConstPool,
-    workers: usize,
-    rec: &R,
-) -> Result<KernelStats, ExecError> {
-    let plan = plan_for(program);
-    execute_plan_workers_traced(&plan, cfg, mem, pool, workers, rec)
-}
-
-/// Execute a pre-decoded [`ExecPlan`] directly (the engine behind every
-/// default launch path).
-///
+/// Warps run in gangs of up to [`LaunchConfig::pack`] warps, advanced in
+/// fused lockstep while their control flow agrees; an unpacked or
+/// single-warp launch runs gangs of one.
 /// Callers that launch the same kernel repeatedly should hold on to the
 /// plan (or rely on [`plan_for`]'s cache, as [`execute_simt_workers`]
 /// does) so decode cost is paid once. Per-warp register files and scratch
 /// buffers are leased from the process-wide warp arena, making
 /// steady-state launches allocation-free (see [`warp_arena_stats`]).
+///
+/// Tracing never touches execution state, so results are bit-identical to
+/// the untraced path at every worker count — only which worker track a
+/// warp's span lands on varies from run to run.
 ///
 /// # Errors
 ///
@@ -194,16 +185,16 @@ pub fn execute_plan_workers_traced<R: Recorder + ?Sized>(
 ) -> Result<KernelStats, ExecError> {
     let gmem = mem.shared();
     let pack = effective_pack(cfg, plan);
-    if pack > 1 {
-        return dispatch_gangs(plan, cfg, workers, pack, &gmem, pool, rec);
-    }
-    dispatch_warps(
+    dispatch_gangs(
         cfg,
         workers,
+        pack,
         plan.name(),
         rec,
-        WarpLease::acquire,
-        |lease, base, count| run_plan_warp(plan, cfg, &gmem, pool, lease.bufs(), base, count),
+        || WarpLease::gang(pack),
+        |leases: &mut [WarpLease; 4], first_warp, k, out| {
+            run_plan_gang(plan, cfg, &gmem, pool, &mut leases[..k], first_warp, out)
+        },
     )
 }
 
@@ -243,15 +234,17 @@ pub fn execute_simt_legacy_workers(
 ) -> Result<KernelStats, ExecError> {
     let cfginfo = CfgInfo::analyze(program);
     let gmem = mem.shared();
-    dispatch_warps(
+    dispatch_gangs(
         cfg,
         workers,
+        1,
         program.name(),
         &NoopRecorder,
         || WarpState::new(program, cfg),
-        |warp, base, count| {
-            warp.reset(base, count);
-            warp.run(program, &cfginfo, cfg, &gmem, pool)
+        |warp, w, _, out| {
+            let base = w * WARP_SIZE;
+            warp.reset(base, (cfg.lanes - base).min(WARP_SIZE));
+            out.push((w, warp.run(program, &cfginfo, cfg, &gmem, pool)));
         },
     )
 }
@@ -304,97 +297,105 @@ fn trace_warp<R: Recorder + ?Sized>(
     }
 }
 
-/// Run every warp of a launch through `run_warp`, serially or on a worker
-/// pool, and merge the per-warp stats.
+/// One warp's outcome, tagged with its warp index.
+type WarpResult = (u32, Result<WarpStats, ExecError>);
+
+/// Run every warp of a launch, serially or on a worker pool, and merge the
+/// per-warp stats.
 ///
-/// This is the one scheduler both engines share: dynamic self-scheduling
-/// over a monotonic claim counter, per-warp tracing, deterministic merge in
-/// warp order, and lowest-faulting-warp error selection. `new_state` builds
-/// one reusable per-worker execution state (a [`WarpState`] or an arena
-/// [`WarpLease`]).
-fn dispatch_warps<S, R, NEW, RUN>(
+/// This is the one scheduler both engines share. Warps are grouped into
+/// gangs of `pack` consecutive warps (the last gang may be shorter; the
+/// legacy engine and unpacked launches run gangs of one), and gangs are
+/// handed out by dynamic self-scheduling over a monotonic claim counter.
+/// `new_state` builds one reusable per-worker execution state (a
+/// [`WarpState`] or an array of arena [`WarpLease`]s);
+/// `run_gang(state, first_warp, k, out)` executes warps
+/// `first_warp..first_warp + k` and appends one [`WarpResult`] per warp to
+/// `out`. Per-warp stats merge in warp order and the error of the
+/// lowest-numbered faulting warp is reported, so the result does not
+/// depend on the worker count.
+fn dispatch_gangs<S, R, NEW, RUN>(
     cfg: &LaunchConfig,
     workers: usize,
+    pack: usize,
     kernel: &str,
     rec: &R,
     new_state: NEW,
-    run_warp: RUN,
+    run_gang: RUN,
 ) -> Result<KernelStats, ExecError>
 where
     R: Recorder + ?Sized,
     NEW: Fn() -> S + Sync,
-    RUN: Fn(&mut S, u32, u32) -> Result<WarpStats, ExecError> + Sync,
+    RUN: Fn(&mut S, u32, usize, &mut Vec<WarpResult>) + Sync,
 {
     let nwarps = cfg.warps() as usize;
-    let workers = resolve_workers(workers).min(nwarps.max(1));
+    let ngangs = nwarps.div_ceil(pack);
+    let workers = resolve_workers(workers).min(ngangs.max(1));
 
-    let per_warp: Vec<(u32, Result<WarpStats, ExecError>)> = if workers <= 1 {
+    // Run gang `g` and append its per-warp results; true if any warp of
+    // the gang faulted. Captures only shared state, so the parallel path
+    // can call it from every worker.
+    let run_one = |state: &mut S, g: usize, worker: usize, out: &mut Vec<WarpResult>| -> bool {
+        let first_warp = (g * pack) as u32;
+        let k = pack.min(nwarps - g * pack);
+        let start_us = if rec.enabled() {
+            rec.wall_now_us()
+        } else {
+            0.0
+        };
+        let before = out.len();
+        run_gang(state, first_warp, k, out);
+        if rec.enabled() {
+            // Sub-groups run interleaved, so each warp's span covers the
+            // whole gang; tracing only observes, results are unchanged.
+            for (w, r) in &out[before..] {
+                trace_warp(rec, worker, kernel, *w, start_us, r);
+            }
+        }
+        out[before..].iter().any(|(_, r)| r.is_err())
+    };
+
+    let per_warp: Vec<WarpResult> = if workers <= 1 {
         let mut state = new_state();
         let mut out = Vec::with_capacity(nwarps);
-        for w in 0..cfg.warps() {
-            let base = w * WARP_SIZE;
-            let count = (cfg.lanes - base).min(WARP_SIZE);
-            let start_us = if rec.enabled() {
-                rec.wall_now_us()
-            } else {
-                0.0
-            };
-            let r = run_warp(&mut state, base, count);
-            if rec.enabled() {
-                trace_warp(rec, 0, kernel, w, start_us, &r);
-            }
-            let stop = r.is_err();
-            out.push((w, r));
-            if stop {
+        for g in 0..ngangs {
+            if run_one(&mut state, g, 0, &mut out) {
                 break;
             }
         }
         out
     } else {
         // Dynamic self-scheduling: each worker claims the next unstarted
-        // warp. Claims are monotonic, so every warp below the highest
-        // claimed index runs to completion even if a later warp faults —
+        // gang. Claims are monotonic, so every gang below the highest
+        // claimed index runs to completion even if a later gang faults —
         // which is what makes lowest-faulting-warp error selection
         // deterministic.
         let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
-        let outs: Vec<Vec<(u32, Result<WarpStats, ExecError>)>> = std::thread::scope(|s| {
+        let outs: Vec<Vec<WarpResult>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
                     let next = &next;
                     let abort = &abort;
                     let new_state = &new_state;
-                    let run_warp = &run_warp;
+                    let run_one = &run_one;
                     s.spawn(move || {
                         let mut state = new_state();
                         // Even share as the capacity hint; stealing skews
                         // the split but only a faulting launch leaves
                         // headroom unused.
-                        let mut out = Vec::with_capacity(nwarps / workers + 1);
+                        let mut out = Vec::with_capacity(nwarps / workers + pack);
                         loop {
                             if abort.load(Ordering::Relaxed) {
                                 break;
                             }
-                            let w = next.fetch_add(1, Ordering::Relaxed);
-                            if w >= nwarps {
+                            let g = next.fetch_add(1, Ordering::Relaxed);
+                            if g >= ngangs {
                                 break;
                             }
-                            let w = w as u32;
-                            let base = w * WARP_SIZE;
-                            let count = (cfg.lanes - base).min(WARP_SIZE);
-                            let start_us = if rec.enabled() {
-                                rec.wall_now_us()
-                            } else {
-                                0.0
-                            };
-                            let r = run_warp(&mut state, base, count);
-                            if rec.enabled() {
-                                trace_warp(rec, worker, kernel, w, start_us, &r);
-                            }
-                            if r.is_err() {
+                            if run_one(&mut state, g, worker, &mut out) {
                                 abort.store(true, Ordering::Relaxed);
                             }
-                            out.push((w, r));
                         }
                         out
                     })
@@ -410,16 +411,6 @@ where
         merged
     };
 
-    merge_warp_results(cfg, per_warp)
-}
-
-/// Deterministic launch-total merge shared by the warp and gang
-/// schedulers: fold per-warp stats in warp order and report the error of
-/// the lowest-numbered faulting warp.
-fn merge_warp_results(
-    cfg: &LaunchConfig,
-    per_warp: Vec<(u32, Result<WarpStats, ExecError>)>,
-) -> Result<KernelStats, ExecError> {
     let mut total = KernelStats {
         lanes: cfg.lanes,
         warps: cfg.warps(),
@@ -439,108 +430,6 @@ fn merge_warp_results(
         total.divergence.merge(&stats.divergence);
     }
     Ok(total)
-}
-
-/// Run every warp of a launch through the packed-gang executor: warps are
-/// grouped into gangs of `pack` consecutive sub-groups, and gangs are
-/// scheduled exactly like [`dispatch_warps`] schedules warps — dynamic
-/// self-scheduling over a monotonic claim counter, deterministic merge in
-/// warp order, lowest-faulting-warp error selection.
-///
-/// Because every sub-group's execution (registers, memory effects, stats,
-/// faults) is bit-identical to its solo run — see [`run_plan_gang`] — the
-/// launch result is bit-identical to the unpacked path at every worker
-/// count for kernels whose warps are independent.
-#[allow(clippy::too_many_arguments)] // scheduler entry; grouping would cost indirection
-fn dispatch_gangs<R: Recorder + ?Sized>(
-    plan: &ExecPlan,
-    cfg: &LaunchConfig,
-    workers: usize,
-    pack: usize,
-    gmem: &SharedMem<'_>,
-    pool: &ConstPool,
-    rec: &R,
-) -> Result<KernelStats, ExecError> {
-    let nwarps = cfg.warps() as usize;
-    let ngangs = nwarps.div_ceil(pack);
-    let workers = resolve_workers(workers).min(ngangs.max(1));
-
-    // Run one gang and append its per-warp results; true if any warp of
-    // the gang faulted. Captures only shared state, so the parallel path
-    // can call it from every worker.
-    let run_gang = |leases: &mut Vec<WarpLease>,
-                    g: usize,
-                    worker: usize,
-                    out: &mut Vec<(u32, Result<WarpStats, ExecError>)>|
-     -> bool {
-        let first_warp = (g * pack) as u32;
-        let k = pack.min(nwarps - g * pack);
-        let start_us = if rec.enabled() {
-            rec.wall_now_us()
-        } else {
-            0.0
-        };
-        let before = out.len();
-        run_plan_gang(plan, cfg, gmem, pool, &mut leases[..k], first_warp, k, out);
-        if rec.enabled() {
-            // Sub-groups run interleaved, so each warp's span covers the
-            // whole gang; tracing only observes, results are unchanged.
-            for (w, r) in &out[before..] {
-                trace_warp(rec, worker, plan.name(), *w, start_us, r);
-            }
-        }
-        out[before..].iter().any(|(_, r)| r.is_err())
-    };
-
-    let per_warp: Vec<(u32, Result<WarpStats, ExecError>)> = if workers <= 1 {
-        let mut leases: Vec<WarpLease> = (0..pack).map(|_| WarpLease::acquire()).collect();
-        let mut out = Vec::with_capacity(nwarps);
-        for g in 0..ngangs {
-            if run_gang(&mut leases, g, 0, &mut out) {
-                break;
-            }
-        }
-        out
-    } else {
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let outs: Vec<Vec<(u32, Result<WarpStats, ExecError>)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let next = &next;
-                    let abort = &abort;
-                    let run_gang = &run_gang;
-                    s.spawn(move || {
-                        let mut leases: Vec<WarpLease> =
-                            (0..pack).map(|_| WarpLease::acquire()).collect();
-                        let mut out = Vec::with_capacity(nwarps / workers + pack);
-                        loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let g = next.fetch_add(1, Ordering::Relaxed);
-                            if g >= ngangs {
-                                break;
-                            }
-                            if run_gang(&mut leases, g, worker, &mut out) {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("gang worker panicked"))
-                .collect()
-        });
-        let mut merged: Vec<_> = outs.into_iter().flatten().collect();
-        merged.sort_unstable_by_key(|&(w, _)| w);
-        merged
-    };
-
-    merge_warp_results(cfg, per_warp)
 }
 
 /// Resolve a worker-count knob: `0` means one worker per available core.
@@ -615,6 +504,19 @@ impl WarpLease {
         }
     }
 
+    /// Leases for a gang of `k` warps in a fixed array (no heap
+    /// allocation per launch). Only the first `k` slots hold buffers, so a
+    /// gang of one leases one context, like a single warp.
+    fn gang(k: usize) -> [WarpLease; 4] {
+        std::array::from_fn(|i| {
+            if i < k {
+                WarpLease::acquire()
+            } else {
+                WarpLease(None)
+            }
+        })
+    }
+
     fn bufs(&mut self) -> &mut WarpBuffers {
         self.0.as_mut().expect("lease taken")
     }
@@ -644,54 +546,6 @@ struct WarpStats {
 // ---------------------------------------------------------------------------
 // Pre-decoded engine.
 // ---------------------------------------------------------------------------
-
-/// Execute one warp of a pre-decoded plan against leased buffers.
-fn run_plan_warp(
-    plan: &ExecPlan,
-    launch: &LaunchConfig,
-    gmem: &SharedMem<'_>,
-    pool: &ConstPool,
-    bufs: &mut WarpBuffers,
-    base: u32,
-    count: u32,
-) -> Result<WarpStats, ExecError> {
-    let num_regs = plan.num_regs() as usize;
-    let local_bytes = launch.local_bytes as usize;
-    // Fresh zeroed state per warp; clear + resize keeps capacity so the
-    // steady state never allocates.
-    bufs.regs.clear();
-    bufs.regs.resize(num_regs * LANES, 0);
-    bufs.local.clear();
-    bufs.local.resize(local_bytes * LANES, 0);
-    bufs.shared.clear();
-    bufs.shared.resize(launch.shared_bytes as usize, 0);
-
-    let full = if count >= WARP_SIZE {
-        u32::MAX
-    } else {
-        (1u32 << count) - 1
-    };
-    let mut stack = std::mem::take(&mut bufs.stack);
-    stack.clear();
-    stack.push(StackEntry {
-        block: plan.entry(),
-        mask: full,
-        reconv: EXIT_BLOCK,
-    });
-    let r = plan_warp_loop(
-        plan,
-        launch,
-        gmem,
-        pool,
-        bufs,
-        base,
-        local_bytes,
-        &mut stack,
-        WarpStats::default(),
-    );
-    bufs.stack = stack;
-    r
-}
 
 /// Execute one block's ops plus the terminator *issue* accounting (the
 /// control-flow effect of the terminator stays with the caller). Shared
@@ -1092,25 +946,27 @@ fn run_sg_solo(
     r
 }
 
-/// Execute `k` consecutive warps ("sub-groups") of a launch as one packed
-/// gang, pushing each warp's `(warp_id, result)` onto `out`.
+/// Execute consecutive warps ("sub-groups") of a launch, one per lease,
+/// as one packed gang, pushing each warp's `(warp_id, result)` onto `out`.
+/// Every pre-decoded launch runs through here; an unpacked launch runs
+/// gangs of one.
 ///
 /// While every live sub-group's control flow agrees — same block, uniform
 /// branch outcomes in the same direction — the gang walks the CFG once and
-/// executes each sub-group's block body with the *same* code the solo path
+/// executes each sub-group's block body with the *same* code the solo loop
 /// uses ([`run_block_ops`] / [`try_wide_copy`]), against that sub-group's
 /// own registers, statistics, and budget. Warps are independent (the
 /// contract parallel warp workers already rely on), so running sub-group
 /// bodies back-to-back per block is indistinguishable from running the
 /// warps to completion one at a time: memory bytes, per-warp stats, and
-/// fault identity are bit-identical to the unpacked engine.
+/// fault identity are bit-identical at every gang width.
 ///
 /// On the first disagreement — a divergent branch in any sub-group, mixed
 /// branch directions, or a wide copy that only some sub-groups can take —
-/// the gang splits and every live sub-group finishes solo from its exact
-/// split-point state. A sub-group fault records that warp's error and the
-/// rest continue, preserving lowest-faulting-warp error selection.
-#[allow(clippy::too_many_arguments)] // internal hot loop; grouping would cost indirection
+/// the gang splits and every live sub-group finishes solo
+/// ([`plan_warp_loop`]) from its exact split-point state. A sub-group
+/// fault records that warp's error and the rest continue, preserving
+/// lowest-faulting-warp error selection.
 fn run_plan_gang(
     plan: &ExecPlan,
     launch: &LaunchConfig,
@@ -1118,10 +974,10 @@ fn run_plan_gang(
     pool: &ConstPool,
     leases: &mut [WarpLease],
     first_warp: u32,
-    k: usize,
-    out: &mut Vec<(u32, Result<WarpStats, ExecError>)>,
+    out: &mut Vec<WarpResult>,
 ) {
-    debug_assert!((1..=4).contains(&k) && leases.len() >= k);
+    let k = leases.len();
+    debug_assert!((1..=4).contains(&k));
     let num_regs = plan.num_regs() as usize;
     let local_bytes = launch.local_bytes as usize;
 
@@ -2938,7 +2794,8 @@ mod tests {
             let rec = TraceRecorder::new();
             let mut mem = DeviceMemory::new(lanes as usize * 4);
             let traced =
-                execute_simt_workers_traced(&p, &cfg, &mut mem, &pool, workers, &rec).unwrap();
+                execute_plan_workers_traced(&plan_for(&p), &cfg, &mut mem, &pool, workers, &rec)
+                    .unwrap();
             assert_eq!(traced, base, "tracing changed stats at {workers} workers");
             assert_eq!(
                 mem.as_bytes(),
@@ -3134,8 +2991,15 @@ mod tests {
                 cfg.pack = pack;
                 let rec = TraceRecorder::new();
                 let mut mem = DeviceMemory::new(lanes as usize * 4);
-                let packed =
-                    execute_simt_workers_traced(&p, &cfg, &mut mem, &pool, workers, &rec).unwrap();
+                let packed = execute_plan_workers_traced(
+                    &plan_for(&p),
+                    &cfg,
+                    &mut mem,
+                    &pool,
+                    workers,
+                    &rec,
+                )
+                .unwrap();
                 assert_eq!(
                     packed, base,
                     "stats diverge at pack={pack} workers={workers}"

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use rhythm_obs::{ArgValue, Clock, NoopRecorder, Recorder};
 use serde::{Deserialize, Serialize};
 
-use crate::exec::plan::{plan_cache_stats, plan_for, ExecPlan};
+use crate::exec::plan::{plan_cache_stats, plan_for};
 use crate::exec::simt::{execute_plan_workers_traced, warp_arena_stats};
 use crate::exec::{ExecError, GateRejection, LaunchConfig};
 use crate::ir::Program;
@@ -76,13 +76,6 @@ pub struct GpuConfig {
     /// (simulation-speed knob only — modelled latencies are unaffected):
     /// `0` = one per available core, `1` = serial execution.
     pub workers: u32,
-    /// Device-side cap on sub-warp request packing (see
-    /// [`LaunchConfig::pack`]): every launch's requested pack width is
-    /// clamped to this value, so a device configured with `pack: 1` runs
-    /// fully unpacked regardless of what callers ask for. Results are
-    /// bit-identical at every width; this is a host-simulation throughput
-    /// knob, like `workers`.
-    pub pack: u32,
     /// Strict footprint-sanitizer policy: when `true`, every launch must
     /// carry a claimed static footprint ([`LaunchConfig::sanitize`]) or it
     /// is rejected before any lane runs. The device cannot compute
@@ -113,7 +106,6 @@ impl GpuConfig {
             memory_bytes: 6 * (1 << 30),
             hw_queues: 32,
             workers: 0,
-            pack: 4,
             sanitize: false,
         }
     }
@@ -133,7 +125,6 @@ impl GpuConfig {
             memory_bytes: 2 * (1 << 30),
             hw_queues: 1,
             workers: 0,
-            pack: 4,
             sanitize: false,
         }
     }
@@ -141,12 +132,6 @@ impl GpuConfig {
     /// Same configuration with the warp-execution worker count replaced.
     pub fn with_workers(mut self, workers: u32) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Same configuration with the sub-warp packing cap replaced.
-    pub fn with_pack(mut self, pack: u32) -> Self {
-        self.pack = pack;
         self
     }
 
@@ -192,7 +177,6 @@ pub struct LaunchResult {
 pub struct Gpu {
     config: GpuConfig,
     gate: Option<Arc<dyn LaunchGate>>,
-    plan_cache: bool,
 }
 
 impl fmt::Debug for Gpu {
@@ -200,20 +184,14 @@ impl fmt::Debug for Gpu {
         f.debug_struct("Gpu")
             .field("config", &self.config)
             .field("gate", &self.gate.as_ref().map(|_| "<LaunchGate>"))
-            .field("plan_cache", &self.plan_cache)
             .finish()
     }
 }
 
 impl Gpu {
-    /// Create a device from its configuration, with no launch gate and the
-    /// decode-plan cache enabled.
+    /// Create a device from its configuration, with no launch gate.
     pub fn new(config: GpuConfig) -> Self {
-        Gpu {
-            config,
-            gate: None,
-            plan_cache: true,
-        }
+        Gpu { config, gate: None }
     }
 
     /// The device configuration.
@@ -232,21 +210,6 @@ impl Gpu {
     /// The installed launch gate, if any.
     pub fn gate(&self) -> Option<&Arc<dyn LaunchGate>> {
         self.gate.as_ref()
-    }
-
-    /// Same device with the decode-plan cache toggled. With the cache off
-    /// every launch re-decodes the program into a fresh [`ExecPlan`] —
-    /// useful for isolating decode cost in benchmarks; production paths
-    /// keep it on (the default) so repeated launches of a kernel skip
-    /// decode and CFG analysis.
-    pub fn with_plan_cache(mut self, on: bool) -> Self {
-        self.plan_cache = on;
-        self
-    }
-
-    /// Whether launches consult the process-wide decode-plan cache.
-    pub fn plan_cache(&self) -> bool {
-        self.plan_cache
     }
 
     /// Execute a kernel and model its latency.
@@ -292,9 +255,6 @@ impl Gpu {
     ) -> Result<LaunchResult, ExecError> {
         let mut cfg = cfg.clone();
         cfg.tx_bytes = self.config.tx_bytes;
-        // The device caps (never raises) the launch's requested pack
-        // width; the executor further clamps to the plan's static profile.
-        cfg.pack = cfg.pack.min(self.config.pack.max(1));
         if self.config.sanitize && cfg.sanitize.is_none() {
             return Err(ExecError::Rejected(GateRejection {
                 rule: "sanitize-missing-footprint".into(),
@@ -315,14 +275,8 @@ impl Gpu {
         } else {
             0.0
         };
-        // Cached: fetch (or build once) the decoded plan by program
-        // fingerprint. Uncached: decode fresh without touching the
-        // process-wide cache or its counters.
-        let plan = if self.plan_cache {
-            plan_for(program)
-        } else {
-            Arc::new(ExecPlan::build(program))
-        };
+        // Fetch (or build once) the decoded plan by program fingerprint.
+        let plan = plan_for(program);
         let stats =
             execute_plan_workers_traced(&plan, &cfg, mem, pool, self.config.workers as usize, rec)?;
         let result = self.time(stats);
@@ -556,10 +510,9 @@ mod tests {
     }
 
     /// Packed launches through the device produce bit-identical results to
-    /// unpacked ones, and the device cap clamps a launch's request.
+    /// unpacked ones.
     #[test]
     fn launch_identical_across_pack_widths() {
-        assert_eq!(GpuConfig::gtx_titan().pack, 4);
         let mut b = ProgramBuilder::new("packed");
         let g = b.global_id();
         let three = b.imm(3);
@@ -575,29 +528,19 @@ mod tests {
         let p = b.build().unwrap();
         let pool = ConstPool::new();
 
-        let run = |device_pack: u32, launch_pack: u32| {
-            let gpu = Gpu::new(
-                GpuConfig::gtx_titan()
-                    .with_workers(1)
-                    .with_pack(device_pack),
-            );
+        let run = |launch_pack: u32| {
+            let gpu = Gpu::new(GpuConfig::gtx_titan().with_workers(1));
             let mut mem = DeviceMemory::new(256 * 4);
             let mut cfg = LaunchConfig::new(256, []);
             cfg.pack = launch_pack;
             let res = gpu.launch(&p, &cfg, &mut mem, &pool).unwrap();
             (res, mem)
         };
-        let (r1, m1) = run(1, 1);
-        for (dp, lp) in [(4, 4), (4, 2), (1, 4), (2, 4)] {
-            let (rn, mn) = run(dp, lp);
-            assert_eq!(
-                rn, r1,
-                "result differs at device pack {dp}, launch pack {lp}"
-            );
-            assert_eq!(
-                mn, m1,
-                "memory differs at device pack {dp}, launch pack {lp}"
-            );
+        let (r1, m1) = run(1);
+        for lp in [2, 4] {
+            let (rn, mn) = run(lp);
+            assert_eq!(rn, r1, "result differs at launch pack {lp}");
+            assert_eq!(mn, m1, "memory differs at launch pack {lp}");
         }
     }
 

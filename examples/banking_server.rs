@@ -33,8 +33,7 @@ use std::time::Duration;
 
 use rhythm_banking::prelude::*;
 use rhythm_net::{
-    read_response, send_request, CohortHandler, NetConfig, NetServer, NetStats, ShardedServer,
-    Telemetry,
+    read_response, send_request, CohortHandler, NetConfig, NetStats, ShardedServer, Telemetry,
 };
 use rhythm_obs::StreamingHistogram;
 use rhythm_simt::gpu::{Gpu, GpuConfig};
@@ -134,38 +133,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 spawn_stats_printer(Arc::clone(telemetry), Duration::from_secs(stats_interval));
             }
         };
-        if shards > 1 {
-            // Multi-reactor front end: each shard owns its connections,
-            // cohort pool, and handler (its own device on the SIMT path).
-            if simt {
-                // One telemetry plane up front so each handler's device
-                // counters land in its own shard's registry.
-                let telemetry = Arc::new(Telemetry::new(shards));
-                let handlers: Vec<_> = (0..shards)
-                    .map(|i| simt_handler().with_metrics(telemetry.device(i)))
-                    .collect();
-                let server = ShardedServer::bind("127.0.0.1:0", config(), handlers)?
-                    .with_telemetry(&telemetry);
-                banner(server.local_addr()?, "SIMT cohort");
-                stats(server.telemetry());
-                server.run(&stop);
-            } else {
-                let handlers: Vec<_> = (0..shards).map(|_| scalar_handler()).collect();
-                let server = ShardedServer::bind("127.0.0.1:0", config(), handlers)?;
-                banner(server.local_addr()?, "scalar");
-                stats(server.telemetry());
-                server.run(&stop);
-            }
-        } else if simt {
-            let telemetry = Arc::new(Telemetry::new(1));
-            let handler = simt_handler().with_metrics(telemetry.device(0));
+        // Each shard owns its connections, cohort pool, and handler (its
+        // own device on the SIMT path).
+        if simt {
+            // One telemetry plane up front so each handler's device
+            // counters land in its own shard's registry.
+            let telemetry = Arc::new(Telemetry::new(shards));
+            let handlers: Vec<_> = (0..shards)
+                .map(|i| simt_handler().with_metrics(telemetry.device(i)))
+                .collect();
             let server =
-                NetServer::bind("127.0.0.1:0", config(), handler)?.with_telemetry(&telemetry);
+                ShardedServer::bind("127.0.0.1:0", config(), handlers)?.with_telemetry(&telemetry);
             banner(server.local_addr()?, "SIMT cohort");
             stats(server.telemetry());
             server.run(&stop);
         } else {
-            let server = NetServer::bind("127.0.0.1:0", config(), scalar_handler())?;
+            let handlers: Vec<_> = (0..shards).map(|_| scalar_handler()).collect();
+            let server = ShardedServer::bind("127.0.0.1:0", config(), handlers)?;
             banner(server.local_addr()?, "scalar");
             stats(server.telemetry());
             server.run(&stop);
@@ -203,13 +187,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 fn demo<H: CohortHandler + Send + 'static>(
     handler: H,
 ) -> Result<(NetStats, H), Box<dyn std::error::Error>> {
-    let server = NetServer::bind("127.0.0.1:0", config(), handler)?;
+    let server = ShardedServer::bind("127.0.0.1:0", config(), vec![handler])?;
     let addr = server.local_addr()?;
     println!("rhythm banking server listening on http://{addr}/bank/");
 
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || server.run(&flag));
+    let join = std::thread::spawn(move || server.run(&flag).shards.remove(0));
 
     // One keep-alive connection for the whole conversation.
     let mut conn = TcpStream::connect(addr)?;

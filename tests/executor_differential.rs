@@ -178,32 +178,38 @@ fn wide_copy_budget_fault_differential() {
 /// The production banking kernels, end to end: drive a full device-backend
 /// cohort (parser → stages with backend rounds) through the legacy and
 /// pre-decoded engines in lockstep, comparing the entire memory image and
-/// the kernel stats after every single launch, for every request type and
-/// worker count. (The scalar leg of the three-way proof for banking
-/// kernels is the existing cohort-vs-native differential suite; warp
-/// reductions make a lane-looped scalar run of a 48-lane cohort
-/// semantically different by design.)
+/// the kernel stats after every single launch, for every request type,
+/// worker count, and cohort shape, unpacked and at pack 4. The shapes are
+/// one partial warp (the served shape, a gang of one), one full warp plus
+/// a partial warp, and three warps (a gang of three). (The scalar leg of
+/// the three-way proof for banking kernels is the existing
+/// cohort-vs-native differential suite; warp reductions make a
+/// lane-looped scalar run of a multi-lane cohort semantically different by
+/// design.)
 #[test]
 fn banking_kernels_legacy_vs_predecoded_lockstep() {
     use rhythm_simt::ir::Op;
 
-    const COHORT: u32 = 48; // one full warp + one partial warp
-    const CAPACITY: u32 = 1024;
     const SALT: u32 = 0x5EED_0001;
 
     let workload = Workload::build();
     let store = BankStore::generate(256, 1);
     let store_img = store.serialize_device();
 
-    for workers in WORKER_COUNTS {
-        let mut sessions = SessionArrayHost::new(CAPACITY, SALT);
+    for (cohort, workers) in [20u32, 48, 96]
+        .into_iter()
+        .flat_map(|c| WORKER_COUNTS.map(|w| (c, w)))
+    {
+        // Every generated request holds a session: room for all types.
+        let capacity = 1024 * cohort.div_ceil(64);
+        let mut sessions = SessionArrayHost::new(capacity, SALT);
         let mut generator = RequestGenerator::new(128, 0xD1FF + workers as u64);
         for ty in RequestType::ALL {
-            let reqs = generator.uniform(ty, COHORT as usize, &mut sessions);
+            let reqs = generator.uniform(ty, cohort as usize, &mut sessions);
             let layout = CohortLayout::new(
-                COHORT,
+                cohort,
                 ty.response_buffer_bytes(),
-                CAPACITY,
+                capacity,
                 SALT,
                 store_img.len() as u32,
                 true,
@@ -224,7 +230,7 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
                     .unwrap();
             }
             let cfg = LaunchConfig {
-                lanes: COHORT,
+                lanes: cohort,
                 params: layout.params(),
                 local_bytes: 64,
                 shared_bytes: 1024,
@@ -275,21 +281,21 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
                         .unwrap_or_else(|e| panic!("{ty:?}/{name} packed fault: {e}"));
                 assert_eq!(
                     sp, sl,
-                    "stats diverged on {ty:?}/{name} at {workers} workers"
+                    "stats diverged on {ty:?}/{name} at {workers} workers, cohort {cohort}"
                 );
                 assert_eq!(
                     sk, sl,
-                    "packed stats diverged on {ty:?}/{name} at {workers} workers"
+                    "packed stats diverged on {ty:?}/{name} at {workers} workers, cohort {cohort}"
                 );
                 assert_eq!(
                     mem_plan.as_bytes(),
                     mem_legacy.as_bytes(),
-                    "memory diverged on {ty:?}/{name} at {workers} workers"
+                    "memory diverged on {ty:?}/{name} at {workers} workers, cohort {cohort}"
                 );
                 assert_eq!(
                     mem_packed.as_bytes(),
                     mem_legacy.as_bytes(),
-                    "packed memory diverged on {ty:?}/{name} at {workers} workers"
+                    "packed memory diverged on {ty:?}/{name} at {workers} workers, cohort {cohort}"
                 );
             }
 
@@ -298,7 +304,7 @@ fn banking_kernels_legacy_vs_predecoded_lockstep() {
             let sess_bytes = mem_plan
                 .slice(
                     layout.session_base,
-                    SessionArrayHost::device_bytes(CAPACITY),
+                    SessionArrayHost::device_bytes(capacity),
                 )
                 .unwrap();
             sessions = SessionArrayHost::from_device_bytes(sess_bytes, SALT);

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rhythm_banking::prelude::*;
-use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, NetServer, ShardedServer};
+use rhythm_net::{read_response, send_request, CohortHandler, NetConfig, ShardedServer};
 use rhythm_simt::gpu::{Gpu, GpuConfig};
 
 const NUM_USERS: u32 = 64;
@@ -35,11 +35,11 @@ fn serve_conversation<H: CohortHandler + Send + 'static>(handler: H) -> Vec<Vec<
         fill_timeout: Duration::from_millis(1),
         ..NetConfig::default()
     };
-    let server = NetServer::bind("127.0.0.1:0", config, handler).expect("bind");
+    let server = ShardedServer::bind("127.0.0.1:0", config, vec![handler]).expect("bind");
     let addr = server.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || server.run(&flag));
+    let join = std::thread::spawn(move || server.run(&flag).shards.remove(0));
 
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
